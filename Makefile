@@ -39,13 +39,16 @@ debugtest:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke on each wire-format target (committed corpora under
-# internal/wire/testdata/fuzz/ run as regression inputs in plain `go test`).
+# Short fuzz smoke on each wire-format target and on the recovery ACK walk
+# (committed corpora under internal/wire/testdata/fuzz/ and
+# internal/recovery/testdata/fuzz/ run as regression inputs in plain
+# `go test`).
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseVarint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseHeader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/recovery/ -run '^$$' -fuzz FuzzOnAck -fuzztime $(FUZZTIME)
 
 # Chaos suite: the scripted fault-injection corpus plus the connection
 # lifecycle tests, with runtime assertions and the race detector on.

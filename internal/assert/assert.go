@@ -16,14 +16,22 @@ package assert
 
 import "time"
 
+// The helpers below test their condition before calling That: boxing the
+// message arguments into That's variadic slice allocates, and a hot-path
+// check that passes must not pay for a message it never prints.
+
 // NonNegDur asserts that a duration derived from clock or QoE arithmetic
 // (Δt, ack delay, inter-arrival gaps) has not gone negative.
 func NonNegDur(d time.Duration, what string) {
-	That(d >= 0, "%s is negative: %v", what, d)
+	if d < 0 {
+		That(false, "%s is negative: %v", what, d)
+	}
 }
 
 // MonotonicU64 asserts next > prev, the strict per-path packet-number
 // ordering required of each packet number space.
 func MonotonicU64(prev, next uint64, what string) {
-	That(next > prev, "%s not monotonic: %d -> %d", what, prev, next)
+	if next <= prev {
+		That(false, "%s not monotonic: %d -> %d", what, prev, next)
+	}
 }

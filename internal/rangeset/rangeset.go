@@ -32,8 +32,8 @@ func (s *Set) Add(start, end uint64) uint64 {
 	// lo: first range that overlaps or touches [start, end) from the left;
 	// hi: one past the last such range. Everything in [lo, hi) merges.
 	lo := 0
-	for lo < n && s.ranges[lo].End < start {
-		lo++
+	if start > 0 {
+		lo = s.search(start - 1)
 	}
 	hi := lo
 	for hi < n && s.ranges[hi].Start <= end {
@@ -65,18 +65,39 @@ func (s *Set) Add(start, end uint64) uint64 {
 	return added
 }
 
+// search returns the index of the first range whose End is > v, i.e. the
+// first range holding v or lying above it (len(s.ranges) if none). Ranges
+// are sorted and disjoint, so End ascends and a binary search finds the
+// edit or lookup position in log time.
+//
+// xlinkvet:hot
+func (s *Set) search(v uint64) int {
+	lo, hi := 0, len(s.ranges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.ranges[m].End <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // checkWellFormed asserts the set invariant under the xlinkdebug build tag:
 // ranges are non-empty, sorted, disjoint, and non-adjacent (adjacent ranges
-// must have merged).
+// must have merged). Each condition is tested before its message arguments
+// are built, so a passing check does not allocate.
 func (s *Set) checkWellFormed(op string) {
 	if !assert.Enabled {
 		return
 	}
 	for i, r := range s.ranges {
-		assert.That(r.Start < r.End, "rangeset %s: empty range %d [%d,%d)", op, i, r.Start, r.End)
-		if i > 0 {
-			assert.That(s.ranges[i-1].End < r.Start,
-				"rangeset %s: ranges %d,%d overlap or touch: [%d,%d) [%d,%d)",
+		if r.Start >= r.End {
+			assert.That(false, "rangeset %s: empty range %d [%d,%d)", op, i, r.Start, r.End)
+		}
+		if i > 0 && s.ranges[i-1].End >= r.Start {
+			assert.That(false, "rangeset %s: ranges %d,%d overlap or touch: [%d,%d) [%d,%d)",
 				op, i-1, i, s.ranges[i-1].Start, s.ranges[i-1].End, r.Start, r.End)
 		}
 	}
@@ -89,12 +110,9 @@ func (s *Set) Contains(start, end uint64) bool {
 	if start >= end {
 		return true
 	}
-	for _, r := range s.ranges {
-		if r.Start <= start && end <= r.End {
-			return true
-		}
-	}
-	return false
+	// Only the first range ending past start can hold start.
+	i := s.search(start)
+	return i < len(s.ranges) && s.ranges[i].Start <= start && end <= s.ranges[i].End
 }
 
 // CoveredPrefix returns the end of the contiguous covered region starting
@@ -102,10 +120,9 @@ func (s *Set) Contains(start, end uint64) bool {
 //
 // xlinkvet:hot
 func (s *Set) CoveredPrefix(from uint64) uint64 {
-	for _, r := range s.ranges {
-		if r.Start <= from && from < r.End {
-			return r.End
-		}
+	i := s.search(from)
+	if i < len(s.ranges) && s.ranges[i].Start <= from {
+		return s.ranges[i].End
 	}
 	return from
 }
@@ -116,10 +133,7 @@ func (s *Set) CoveredPrefix(from uint64) uint64 {
 // xlinkvet:hot
 func (s *Set) FirstMissing(from, limit uint64) (start, end uint64) {
 	cur := from
-	for _, r := range s.ranges {
-		if r.End <= cur {
-			continue
-		}
+	for _, r := range s.ranges[s.search(from):] {
 		if r.Start > cur {
 			e := r.Start
 			if e > limit {
@@ -151,10 +165,7 @@ func (s *Set) Subtract(start, end uint64) {
 	}
 	n := len(s.ranges)
 	// lo: first range with values at or after start.
-	lo := 0
-	for lo < n && s.ranges[lo].End <= start {
-		lo++
-	}
+	lo := s.search(start)
 	if lo == n || s.ranges[lo].Start >= end {
 		return
 	}

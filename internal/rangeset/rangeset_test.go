@@ -1,6 +1,7 @@
 package rangeset
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -163,5 +164,60 @@ func TestPropertyInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyLookups checks the binary-searched lookups (Contains,
+// CoveredPrefix, FirstMissing) and edits (Add, Subtract) against a bitmap
+// model of the set over a small domain.
+func TestPropertyLookups(t *testing.T) {
+	const domain = 96
+	rng := rand.New(rand.NewSource(1))
+	var s Set
+	var model [domain + 1]bool // model[domain] stays false
+	for step := 0; step < 4000; step++ {
+		a, b := uint64(rng.Intn(domain)), uint64(rng.Intn(domain))
+		if a > b {
+			a, b = b, a
+		}
+		if rng.Intn(3) == 0 {
+			s.Subtract(a, b)
+			for x := a; x < b; x++ {
+				model[x] = false
+			}
+		} else {
+			s.Add(a, b)
+			for x := a; x < b; x++ {
+				model[x] = true
+			}
+		}
+		for x := uint64(0); x <= domain; x++ {
+			prefix := x
+			for prefix < domain && model[prefix] {
+				prefix++
+			}
+			if got := s.CoveredPrefix(x); got != prefix {
+				t.Fatalf("step %d: CoveredPrefix(%d) = %d, model %d (set %v)", step, x, got, prefix, s.All())
+			}
+			for y := x; y <= domain; y += 7 {
+				if got, want := s.Contains(x, y), y <= prefix; got != want {
+					t.Fatalf("step %d: Contains(%d,%d) = %v, model %v (set %v)", step, x, y, got, want, s.All())
+				}
+				ms, me := y, y
+				for z := x; z < y; z++ {
+					if !model[z] {
+						ms, me = z, z+1
+						for me < y && !model[me] {
+							me++
+						}
+						break
+					}
+				}
+				if gs, ge := s.FirstMissing(x, y); gs != ms || ge != me {
+					t.Fatalf("step %d: FirstMissing(%d,%d) = %d,%d, model %d,%d (set %v)",
+						step, x, y, gs, ge, ms, me, s.All())
+				}
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@
 package recovery
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/assert"
@@ -68,7 +67,6 @@ type Space struct {
 	rtt *cc.RTTEstimator
 
 	sent         []*SentPacket // ascending PN
-	byPN         map[uint64]*SentPacket
 	largestAcked int64
 	nextPN       uint64
 
@@ -83,6 +81,11 @@ type Space struct {
 
 	// Counters for instrumentation.
 	stats Stats
+
+	// visits counts send-history entries examined by ACK processing
+	// (binary-search probes plus walked entries); tests use it to pin the
+	// per-ACK cost to the in-flight window rather than connection age.
+	visits uint64
 }
 
 // Stats counts recovery activity on one path.
@@ -98,7 +101,7 @@ type Stats struct {
 // NewSpace creates a Space reporting RTT samples to rtt.
 func NewSpace(rtt *cc.RTTEstimator) *Space {
 	//xlinkvet:ignore hotalloc — constructor: one recovery space per path lifetime
-	return &Space{rtt: rtt, byPN: make(map[uint64]*SentPacket), largestAcked: -1}
+	return &Space{rtt: rtt, largestAcked: -1}
 }
 
 // Stats returns a copy of the counters.
@@ -125,7 +128,6 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 		assert.MonotonicU64(s.sent[len(s.sent)-1].PN, sp.PN, "per-path packet number")
 	}
 	s.sent = append(s.sent, sp)
-	s.byPN[sp.PN] = sp
 	s.stats.SentPackets++
 	s.stats.SentBytes += uint64(sp.Bytes)
 }
@@ -166,16 +168,6 @@ func (s *Space) HasUnacked() bool {
 		}
 	}
 	return false
-}
-
-// Unacked returns the unacknowledged, not-lost packet with the given PN if
-// it exists.
-func (s *Space) Unacked(pn uint64) (*SentPacket, bool) {
-	sp, ok := s.byPN[pn]
-	if !ok || sp.acked || sp.declaredLost {
-		return nil, false
-	}
-	return sp, true
 }
 
 // lossDelay returns the time threshold for declaring loss.
@@ -220,6 +212,16 @@ func (s *Space) OnAckNoLoss(ranges []wire.AckRange, ackDelay time.Duration, now 
 // onAck is the shared ACK-processing body; detect selects whether the
 // trailing loss-detection + gc pass runs now or is deferred to the caller.
 //
+// ranges must be strictly descending and disjoint, as wire.parseAckBody
+// produces them (asserted under xlinkdebug). The body is a merge walk over
+// the ascending send history: ranges lying wholly below its oldest entry
+// are skipped, the rest are visited smallest first, and each one
+// binary-searches s.sent for its Smallest (starting where the previous
+// range's walk stopped) and walks forward while PN <= Largest. Acked
+// therefore comes out ascending by PN, and one ACK costs
+// O(ranges × log in-flight + walked entries) however far back its oldest
+// range reaches.
+//
 // xlinkvet:hot
 // xlinkvet:loan ranges
 // xlinkvet:loan return
@@ -228,24 +230,33 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 	if len(ranges) == 0 {
 		return res
 	}
+	if assert.Enabled {
+		checkRanges(ranges)
+	}
 	largest := ranges[0].Largest
 	newlyAckedLargest := false
 	res.Acked = s.ackedScratch[:0]
-	for _, r := range ranges {
-		for pn := r.Smallest; ; pn++ {
-			if sp, ok := s.byPN[pn]; ok && !sp.acked {
-				sp.acked = true
-				if !sp.declaredLost {
-					res.Acked = append(res.Acked, sp)
-					s.stats.AckedPackets++
-				}
-				if sp.PN == largest {
-					newlyAckedLargest = true
-					res.LatestRTT = now - sp.SentAt
-				}
-			}
-			if pn == r.Largest {
+	i := 0
+	for k := s.overlapping(ranges) - 1; k >= 0; k-- {
+		r := ranges[k]
+		i = s.searchPN(i, r.Smallest)
+		for ; i < len(s.sent); i++ {
+			sp := s.sent[i]
+			if sp.PN > r.Largest {
 				break
+			}
+			s.visits++
+			if sp.acked {
+				continue
+			}
+			sp.acked = true
+			if !sp.declaredLost {
+				res.Acked = append(res.Acked, sp)
+				s.stats.AckedPackets++
+			}
+			if sp.PN == largest {
+				newlyAckedLargest = true
+				res.LatestRTT = now - sp.SentAt
 			}
 		}
 	}
@@ -254,16 +265,6 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 		res.Acked = nil
 		return res
 	}
-	//xlinkvet:ignore hotalloc — sort comparator closure: non-escaping (stack-allocated by the compiler), inside the 22-alloc round-trip budget
-	slices.SortFunc(res.Acked, func(a, b *SentPacket) int {
-		switch {
-		case a.PN < b.PN:
-			return -1
-		case a.PN > b.PN:
-			return 1
-		}
-		return 0
-	})
 	if int64(largest) > s.largestAcked {
 		s.largestAcked = int64(largest)
 	}
@@ -276,6 +277,61 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 		s.gc()
 	}
 	return res
+}
+
+// overlapping returns how many of the descending ranges reach the send
+// history, i.e. the index of the first range lying wholly below its oldest
+// entry (len(ranges) if none does). The ranges from there on can ack
+// nothing, so the walk skips them without touching s.sent.
+//
+// xlinkvet:hot
+func (s *Space) overlapping(ranges []wire.AckRange) int {
+	if len(s.sent) == 0 {
+		return 0
+	}
+	oldest := s.sent[0].PN
+	lo, hi := 0, len(ranges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ranges[m].Largest >= oldest {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// searchPN returns the index of the first send-history entry at or after
+// from whose PN is >= pn (len(s.sent) if none).
+//
+// xlinkvet:hot
+func (s *Space) searchPN(from int, pn uint64) int {
+	lo, hi := from, len(s.sent)
+	for lo < hi {
+		s.visits++
+		m := int(uint(lo+hi) >> 1)
+		if s.sent[m].PN < pn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// checkRanges asserts the onAck input contract under the xlinkdebug build
+// tag: each range is non-inverted and lies strictly below its predecessor.
+func checkRanges(ranges []wire.AckRange) {
+	for k, r := range ranges {
+		if r.Smallest > r.Largest {
+			assert.That(false, "ack range %d inverted: [%d,%d]", k, r.Smallest, r.Largest)
+		}
+		if k > 0 && r.Largest >= ranges[k-1].Smallest {
+			assert.That(false, "ack ranges %d,%d not strictly descending and disjoint: [%d,%d] [%d,%d]",
+				k-1, k, ranges[k-1].Smallest, ranges[k-1].Largest, r.Smallest, r.Largest)
+		}
+	}
 }
 
 // detectLost applies packet- and time-threshold loss detection. The
@@ -429,7 +485,6 @@ func (s *Space) PTOCount() int { return s.ptoCount }
 func (s *Space) gc() {
 	i := 0
 	for i < len(s.sent) && (s.sent[i].acked || s.sent[i].declaredLost) {
-		delete(s.byPN, s.sent[i].PN)
 		i++
 	}
 	if i > 0 {

@@ -292,19 +292,19 @@ func (s *SendStream) onChunkLost(c chunk) {
 	// Drop the portions already acked (e.g. through a re-injected copy) or
 	// rebuilt by the peer's FEC decoder (DESIGN.md §13 lane rules).
 	for start < end {
-		if s.acked.Contains(start, start+1) {
-			start = s.acked.CoveredPrefix(start)
+		if covered := s.acked.CoveredPrefix(start); covered > start {
+			start = covered
 			continue
 		}
-		if s.recovered.Contains(start, start+1) {
-			start = s.recovered.CoveredPrefix(start)
+		if covered := s.recovered.CoveredPrefix(start); covered > start {
+			start = covered
 			continue
 		}
-		gapEnd := start + 1
-		for gapEnd < end && !s.acked.Contains(gapEnd, gapEnd+1) &&
-			!s.recovered.Contains(gapEnd, gapEnd+1) {
-			gapEnd++
-		}
+		// start is in a gap of both sets: requeue up to whichever gap
+		// closes first.
+		_, ackedGapEnd := s.acked.FirstMissing(start, end)
+		_, recoveredGapEnd := s.recovered.FirstMissing(start, end)
+		gapEnd := min64(ackedGapEnd, recoveredGapEnd)
 		s.rtx.Add(start, gapEnd)
 		start = gapEnd
 	}

@@ -9,7 +9,7 @@
 # any alloc-gate test runs), the test suite in release and
 # xlinkdebug-assertion modes, the race detector, an allocs/op regression
 # gate against the committed benchmark snapshot, and a short fuzz smoke on
-# every wire-format target.
+# every wire-format target and on the recovery ACK walk (FuzzOnAck).
 #
 # Run from the repository root: ./scripts/check.sh  (or `make check`).
 set -eu
@@ -85,5 +85,6 @@ step go test ./internal/wire/ -run '^$' -fuzz FuzzParseHeader -fuzztime "$FUZZTI
 step go test ./internal/wire/ -run '^$' -fuzz 'FuzzParseFrame$' -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseFECFrame -fuzztime "$FUZZTIME"
 step go test ./internal/obs/ -run '^$' -fuzz FuzzParseTrace -fuzztime "$FUZZTIME"
+step go test ./internal/recovery/ -run '^$' -fuzz FuzzOnAck -fuzztime "$FUZZTIME"
 
 echo "check: all gates passed"
